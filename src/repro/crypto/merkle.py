@@ -9,10 +9,9 @@ tricks) plus compact inclusion proofs used by the storage proofs.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
-
-from repro.crypto.hashing import hash_concat
 
 __all__ = ["MerkleTree", "MerkleProof", "merkle_root", "chunk_bytes"]
 
@@ -21,12 +20,25 @@ _NODE_PREFIX = b"\x01"
 DEFAULT_CHUNK_SIZE = 1024
 
 
+# Leaf and node hashes are ``hash_concat(prefix, ...)``; the framed prefix
+# is hashed once here and each hash resumes from a copy.
+_LEAF_HASHER = hashlib.sha256(len(_LEAF_PREFIX).to_bytes(8, "big") + _LEAF_PREFIX)
+_NODE_HASHER = hashlib.sha256(len(_NODE_PREFIX).to_bytes(8, "big") + _NODE_PREFIX)
+
+
 def _hash_leaf(data: bytes) -> bytes:
-    return hash_concat(_LEAF_PREFIX, data)
+    hasher = _LEAF_HASHER.copy()
+    hasher.update(len(data).to_bytes(8, "big"))
+    hasher.update(data)
+    return hasher.digest()
 
 
 def _hash_node(left: bytes, right: bytes) -> bytes:
-    return hash_concat(_NODE_PREFIX, left, right)
+    hasher = _NODE_HASHER.copy()
+    hasher.update(
+        b"".join((len(left).to_bytes(8, "big"), left, len(right).to_bytes(8, "big"), right))
+    )
+    return hasher.digest()
 
 
 def chunk_bytes(data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> List[bytes]:

@@ -10,13 +10,30 @@ that every node derives the same sector choices.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from repro.crypto.hashing import hash_concat
 
-__all__ = ["DeterministicPRNG"]
+__all__ = ["DeterministicPRNG", "xor_bytes"]
 
 T = TypeVar("T")
+
+
+def xor_bytes(data: bytes, pad: bytes) -> bytes:
+    """XOR ``data`` with ``pad``, truncated to the shorter of the two.
+
+    This is the one stream-cipher primitive of the package: PoRep sealing
+    and client-side encryption both XOR a keystream onto their payload.
+    """
+    length = min(len(data), len(pad))
+    if length == 0:
+        return b""
+    return np.bitwise_xor(
+        np.frombuffer(data, np.uint8, length), np.frombuffer(pad, np.uint8, length)
+    ).tobytes()
 
 
 class DeterministicPRNG:
@@ -36,25 +53,41 @@ class DeterministicPRNG:
         self._domain = domain.encode("utf-8")
         self._counter = 0
         self._buffer = b""
+        # Block ``i`` is ``hash_concat(seed, domain, i.to_bytes(8))``; every
+        # block shares the framed prefix up to the counter, so hash it once.
+        self._prefix = hashlib.sha256(
+            b"".join(
+                (
+                    len(self._seed).to_bytes(8, "big"),
+                    self._seed,
+                    len(self._domain).to_bytes(8, "big"),
+                    self._domain,
+                    (8).to_bytes(8, "big"),
+                )
+            )
+        )
 
     # ------------------------------------------------------------------
     # Raw byte stream
     # ------------------------------------------------------------------
-    def _refill(self) -> None:
-        block = hash_concat(
-            self._seed, self._domain, self._counter.to_bytes(8, "big")
-        )
-        self._counter += 1
-        self._buffer += block
-
     def random_bytes(self, length: int) -> bytes:
         """Return ``length`` pseudorandom bytes."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        while len(self._buffer) < length:
-            self._refill()
-        out, self._buffer = self._buffer[:length], self._buffer[length:]
-        return out
+        buffer = self._buffer
+        if len(buffer) < length:
+            start = self._counter
+            stop = start + (length - len(buffer) + 31) // 32
+            resume = self._prefix.copy
+            blocks = [buffer]
+            for counter in range(start, stop):
+                hasher = resume()
+                hasher.update(counter.to_bytes(8, "big"))
+                blocks.append(hasher.digest())
+            buffer = b"".join(blocks)
+            self._counter = stop
+        self._buffer = buffer[length:]
+        return buffer[:length]
 
     # ------------------------------------------------------------------
     # Integers and floats

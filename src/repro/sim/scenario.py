@@ -28,6 +28,7 @@ deployment's :class:`~repro.sim.engine.SimulationEngine` (drained as
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -89,11 +90,15 @@ class DSNScenario:
         params = self.config.params
         self.ledger = Ledger()
         self.network = SimulatedNetwork(latency=self.config.latency, seed=self.config.seed)
+        # The protocol holds the oracle weakly: a bound method would close a
+        # scenario <-> protocol cycle and keep every sealed replica alive
+        # until a full GC pass.
+        oracle = weakref.WeakMethod(self.sector_is_healthy)
         self.protocol = FileInsurerProtocol(
             params=params,
             ledger=self.ledger,
             prng=DeterministicPRNG.from_int(self.config.seed, domain="scenario-protocol"),
-            health_oracle=self.sector_is_healthy,
+            health_oracle=lambda sector_id: oracle()(sector_id),
             auto_prove=True,
             backend=self.config.backend,
         )

@@ -14,6 +14,7 @@ simulation scenario wires the two together.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,13 +60,23 @@ class ProviderSector:
             raise ValueError("sector capacity must be positive")
         if capacity_replica_size <= 0:
             raise ValueError("capacity_replica_size must be positive")
-        self.provider = provider
+        # Weak back-reference: the provider owns its sectors, and a strong
+        # cycle would keep every sealed replica alive until a full GC pass.
+        self._provider = weakref.ref(provider)
         self.sector_id = sector_id
         self.capacity = capacity
         self.capacity_replica_size = capacity_replica_size
         self._files: Dict[bytes, _StoredReplica] = {}
         self._capacity_replicas: List[_StoredReplica] = []
         self._next_cr_index = 0
+
+    @property
+    def provider(self) -> "StorageProvider":
+        """The provider owning this sector (which must still be alive)."""
+        provider = self._provider()
+        if provider is None:
+            raise ReferenceError(f"provider of sector {self.sector_id!r} was released")
+        return provider
 
     # ------------------------------------------------------------------
     # Capacity accounting

@@ -3,8 +3,11 @@ lifecycle_churn."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.crypto.porep import SealedReplica
 from repro.runner.executor import derive_trial_seed, run_scenario
 from repro.runner.registry import get_scenario, load_builtin_scenarios, resolve_params
 from repro.runner.results import jsonify
@@ -12,6 +15,7 @@ from repro.scenarios.churn import run_churn_trial
 from repro.scenarios.lifecycle_churn import run_lifecycle_churn_trial
 from repro.scenarios.retrieval import run_retrieval_trial
 from repro.scenarios.segmentation import run_segmentation_trial
+from repro.sim.scenario import DSNScenario
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +120,26 @@ class TestChurn:
         assert row["files_lost"] == 0
         assert row["retrievable_fraction"] == 1.0
         assert row["replica_health"] == 1.0
+
+    def test_trial_frees_sealed_replicas_without_gc(self):
+        # A trial's deployment must die by reference count: a reference
+        # cycle would hold every sealed replica until a full collection,
+        # so memory would grow with the number of trials in a process.
+        def live():
+            return sum(
+                isinstance(obj, (SealedReplica, DSNScenario)) for obj in gc.get_objects()
+            )
+
+        task = _task("churn", **TINY_CHURN)
+        gc.collect()
+        gc.disable()
+        try:
+            before = live()
+            run_churn_trial(task)
+            after = live()
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_scenario_end_to_end_with_summary(self):
         manifest = run_scenario("churn", TINY_CHURN, workers=1, seed=1)
